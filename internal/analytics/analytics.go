@@ -14,6 +14,7 @@
 package analytics
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -135,37 +136,23 @@ func (v SnapshotView) HasEdge(src, dst int64) bool {
 // range count should stay well above the worker count for balance.
 const vertexMorsel = 2048
 
-// parallelFor runs body over [0,n) on a morsel-driven worker pool: workers
-// claim vertexMorsel-sized ranges from a shared cursor until the space is
+// kernelCtx is the context the kernels hand morsel.Run.
+//
+//lglint:ignore ctxprop the kernels are context-free public APIs; nothing blocks on this context
+var kernelCtx = context.Background()
+
+// parallelFor runs body over [0,n) on the morsel pool: workers claim
+// vertexMorsel-sized ranges from a shared cursor until the space is
 // exhausted, so a range of hub vertices stalls one worker instead of
 // setting the pass's critical path the way a static 1/workers split does.
 func parallelFor(n int64, workers int, body func(lo, hi int64)) {
-	if n <= 0 {
-		return
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cur := morsel.NewCursor(int(n), vertexMorsel)
-	if cur.Workers(workers) <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := cur.Workers(workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				_, lo, hi, ok := cur.Next()
-				if !ok {
-					return
-				}
-				body(int64(lo), int64(hi))
-			}
-		}()
-	}
-	wg.Wait()
+	_ = morsel.Run(kernelCtx, int(n), vertexMorsel, workers, func(_, _, lo, hi int) error {
+		body(int64(lo), int64(hi))
+		return nil
+	})
 }
 
 // atomicAddFloat64 adds delta to *addr with a CAS loop.
@@ -347,33 +334,21 @@ func BFSDir(v View, src int64, workers int, dir core.Direction) []int64 {
 // claiming worker and published to the next level by the pool join, so the
 // kernel is race-free without per-vertex atomics on the distance array.
 func bfsTopDownLevel(v View, dist []int64, visited *sparsebit.Set, frontier []int64, level int64, workers int) []int64 {
-	cur := morsel.NewCursor(len(frontier), morsel.DefaultSize)
-	outs := make([][]int64, cur.Count())
-	var wg sync.WaitGroup
-	for w := cur.Workers(workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m, lo, hi, ok := cur.Next()
-				if !ok {
-					return
+	outs := make([][]int64, (len(frontier)+morsel.DefaultSize-1)/morsel.DefaultSize)
+	_ = morsel.Run(kernelCtx, len(frontier), morsel.DefaultSize, workers, func(_, m, lo, hi int) error {
+		var buf []int64
+		for _, u := range frontier[lo:hi] {
+			v.ScanOut(u, func(dst int64) bool {
+				if !visited.TestAndSet(dst) {
+					dist[dst] = level
+					buf = append(buf, dst)
 				}
-				var buf []int64
-				for _, u := range frontier[lo:hi] {
-					v.ScanOut(u, func(dst int64) bool {
-						if !visited.TestAndSet(dst) {
-							dist[dst] = level
-							buf = append(buf, dst)
-						}
-						return true
-					})
-				}
-				outs[m] = buf
-			}
-		}()
-	}
-	wg.Wait()
+				return true
+			})
+		}
+		outs[m] = buf
+		return nil
+	})
 	next := make([]int64, 0, len(frontier))
 	for _, o := range outs {
 		next = append(next, o...)
@@ -449,9 +424,6 @@ func NumComponents(labels []int64, exists func(v int64) bool) int {
 	for v, l := range labels {
 		if exists != nil && !exists(int64(v)) {
 			continue
-		}
-		for int64(v) != l { // follow to the representative (already minimal)
-			break
 		}
 		seen[l] = struct{}{}
 	}

@@ -130,9 +130,33 @@ func TestBFSLevels(t *testing.T) {
 	}
 }
 
+// queueBFS is the plain FIFO-queue BFS the kernels are checked against;
+// it shares no code with them.
+func queueBFS(v View, src int64) []int64 {
+	dist := make([]int64, v.NumVertices())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int64{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		v.ScanOut(u, func(d int64) bool {
+			if dist[d] < 0 {
+				dist[d] = dist[u] + 1
+				queue = append(queue, d)
+			}
+			return true
+		})
+	}
+	return dist
+}
+
 // TestBFSParallelMatchesSequential cross-checks the morsel-parallel BFS
-// against workers=1 on a random graph where vertices are reachable along
-// many paths (run under -race this exercises the visited-set claims).
+// against workers=1 and the queue-BFS oracle on a random graph where
+// vertices are reachable along many paths (run under -race this exercises
+// the visited-set claims).
 func TestBFSParallelMatchesSequential(t *testing.T) {
 	const n = 3000
 	edges := make([]csr.Edge, 0, 6*n)
@@ -141,7 +165,13 @@ func TestBFSParallelMatchesSequential(t *testing.T) {
 		edges = append(edges, csr.Edge{Src: rng.Int63n(n), Dst: rng.Int63n(n)})
 	}
 	g := csr.Build(n, edges)
+	oracle := queueBFS(CSRView{g}, 0)
 	want := BFS(CSRView{g}, 0, 1)
+	for i := range want {
+		if want[i] != oracle[i] {
+			t.Fatalf("workers=1: dist[%d]=%d, oracle %d", i, want[i], oracle[i])
+		}
+	}
 	for _, workers := range []int{4, 8} {
 		got := BFS(CSRView{g}, 0, workers)
 		for i := range want {
@@ -264,10 +294,10 @@ func TestEmptyGraphKernels(t *testing.T) {
 }
 
 // TestBFSDirectionEquivalence: the direction-optimizing BFS returns the
-// same distance vector as forced top-down and forced bottom-up, on a
-// random LiveGraph snapshot whose View carries the reverse-hint InView —
-// the distances are schedule-independent (one BFS level per vertex), so
-// equality is exact, not set-wise.
+// queue-BFS oracle's distance vector, as do forced top-down and forced
+// bottom-up, on a random LiveGraph snapshot whose View carries the
+// reverse-hint InView — the distances are schedule-independent (one BFS
+// level per vertex), so equality is exact, not set-wise.
 func TestBFSDirectionEquivalence(t *testing.T) {
 	const n = 800
 	g, err := core.Open(core.Options{})
@@ -294,6 +324,12 @@ func TestBFSDirectionEquivalence(t *testing.T) {
 	}
 
 	want := BFSDir(view, 0, 1, core.DirectionTopDown)
+	oracle := queueBFS(view, 0)
+	for i := range want {
+		if want[i] != oracle[i] {
+			t.Fatalf("topdown workers=1: dist[%d]=%d, oracle %d", i, want[i], oracle[i])
+		}
+	}
 	reached := 0
 	for _, d := range want {
 		if d >= 0 {

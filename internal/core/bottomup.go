@@ -14,19 +14,11 @@ package core
 // pinned snapshot). A candidate stops at its first confirmed hit, so each
 // destination is emitted at most once — which is why bottom-up requires
 // Dedup — and emission follows the registry's (stable, append-only)
-// order, deterministic for the sequential path and reassembled in morsel
-// order for the parallel one. The only shared mutable state in a parallel
-// pass is the pair of budget atomics; there is no dedup-set contention at
-// all.
+// order, reassembled in morsel order when the pass fans out. The only
+// shared mutable state between workers is the pair of budget atomics;
+// there is no dedup-set contention at all.
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-
-	"livegraph/internal/morsel"
-	"livegraph/internal/sparsebit"
-)
+import "livegraph/internal/sparsebit"
 
 // Bottom-up morsels range over the candidate registry; every entry is a
 // real hinted destination (at least one Peek, often a confirming read),
@@ -35,6 +27,16 @@ import (
 const (
 	bottomUpMorselMin = 1 << 8
 	bottomUpMorselMax = 1 << 14
+)
+
+const (
+	// bottomUpAlpha and bottomUpBeta are the direction switch's density
+	// factors (see chooseBottomUp).
+	bottomUpAlpha = 8.0
+	bottomUpBeta  = 3.0
+	// bottomUpMinFrontier keeps trivially narrow frontiers top-down: below
+	// it the frontier bitset build alone outweighs any probe savings.
+	bottomUpMinFrontier = 16
 )
 
 func bottomUpMorselSize(n, workers int) int {
@@ -48,25 +50,102 @@ func bottomUpMorselSize(n, workers int) int {
 	return size
 }
 
-// expandBottomUp executes one stepOut bottom-up. es carries the hop's
-// label and fused destination predicate (applied as a candidate
-// pre-filter, before any probe). fbits is the reusable frontier bitset:
-// built here single-threaded, then only Peek-ed — the frozen-set contract
-// sparsebit.Peek requires.
-func (t *Traversal) expandBottomUp(ctx context.Context, r Reader, g *Graph, frontier []VertexID, es *execStep, fbits *sparsebit.Set, capped bool, par int, hp *HopPlan) ([]VertexID, error) {
-	rv := g.rev.Get(int64(es.label))
+// chooseBottomUp decides one hop's expansion direction. A forced
+// DirectionBottomUp without the prerequisites is an error; DirectionAuto
+// applies the Beamer-style density test against the label's statistics:
+// go bottom-up when the frontier's estimated outgoing edges exceed
+// bottomUpAlpha × the hinted candidate count (probing candidates beats
+// scanning the frontier) and make up more than 1/bottomUpBeta of the
+// label's total edges (the frontier genuinely covers the label, so
+// candidate probes hit).
+func (t *Traversal) chooseBottomUp(g *Graph, frontierLen int, ls LabelStats) (bool, error) {
+	canBU := t.dedup && g != nil
+	switch t.direction {
+	case DirectionTopDown:
+		return false, nil
+	case DirectionBottomUp:
+		if !canBU {
+			return false, ErrBottomUpUnsupported
+		}
+		return true, nil
+	}
+	if !canBU || frontierLen < bottomUpMinFrontier {
+		return false, nil
+	}
+	if ls.Targets <= 0 || ls.Lists <= 0 {
+		return false, nil
+	}
+	avg := ls.AvgDegree
+	if avg < 1 {
+		avg = 1
+	}
+	mf := float64(frontierLen) * avg
+	return mf > bottomUpAlpha*float64(ls.Targets) && bottomUpBeta*mf > float64(ls.Edges), nil
+}
+
+// bottomUp expands one stepOut bottom-up, probing the label's candidate
+// destinations against the frontier. The frontier bitset is built here
+// single-threaded and only Peek-ed by the workers — the
+// frozen-set contract sparsebit.Peek requires.
+func (x *hopExec) bottomUp(frontier []VertexID, es *execStep, capped bool) ([]VertexID, hopStats, error) {
+	rv := x.g.rev.Get(int64(es.label))
 	if rv == nil {
-		return nil, nil // label never had an edge: no candidates
+		return nil, hopStats{}, nil // label never had an edge: no candidates
+	}
+	if x.fbits == nil {
+		// One stripe suffices: the build is single-threaded.
+		x.fbits = sparsebit.New(1)
+	}
+	x.fbits.Reset()
+	for _, v := range frontier {
+		x.fbits.TestAndSet(int64(v))
 	}
 	cands := rv.candidates()
-	fbits.Reset()
-	for _, v := range frontier {
-		fbits.TestAndSet(int64(v))
+	workers, size := 1, len(cands)
+	if x.par > 1 && len(cands) >= 2*bottomUpMorselMin {
+		workers, size = x.par, bottomUpMorselSize(len(cands), x.par)
 	}
-	if par <= 1 || len(cands) < 2*bottomUpMorselMin {
-		return t.bottomUpSeq(ctx, r, rv, cands, es.label, es.keep, fbits, capped, hp)
+	x.bind(es, capped)
+	x.cands, x.rv = cands, rv
+	if x.bottomUpBody == nil {
+		x.bottomUpBody = x.bottomUpMorsel
 	}
-	return t.bottomUpPar(ctx, r, rv, cands, es.label, es.keep, fbits, capped, par, hp)
+	next, err := x.pool(len(cands), workers, size, x.bottomUpBody)
+	return next, hopStats{candidates: x.candidates.Load(), probes: x.probes.Load()}, err
+}
+
+func (x *hopExec) bottomUpMorsel(_, m, lo, hi int) error {
+	keep := x.keep
+	var (
+		buf        []VertexID
+		err        error
+		nc, probes int64
+	)
+	for i, cv := range x.cands[lo:hi] {
+		if i > 0 && i%stopCheckEdges == 0 {
+			if err = x.poll(); err != nil {
+				break
+			}
+		}
+		if keep != nil && !keep(int64(cv)) {
+			continue
+		}
+		hit, p := probeCandidate(x.r, x.rv, cv, x.label, x.fbits)
+		nc++
+		probes += p
+		if !hit {
+			continue
+		}
+		if buf, err = x.emit(buf, cv); err != nil {
+			break
+		}
+	}
+	x.outs[m] = buf
+	if x.countStats {
+		x.candidates.Add(nc)
+		x.probes.Add(probes)
+	}
+	return err
 }
 
 // probeCandidate reports whether candidate c has a confirmed in-edge from
@@ -87,212 +166,4 @@ func probeCandidate(r Reader, rv *revLabel, c VertexID, label Label, fbits *spar
 		return true, probes
 	}
 	return false, probes
-}
-
-// bottomUpSeq is the sequential bottom-up pass — the reference the
-// parallel pass must match set-wise, emitting in candidate-registry
-// order.
-func (t *Traversal) bottomUpSeq(ctx context.Context, r Reader, rv *revLabel, cands []VertexID, label Label, keep func(VertexID) bool, fbits *sparsebit.Set, capped bool, hp *HopPlan) ([]VertexID, error) {
-	var next []VertexID
-	var nc, probes int64
-	for i, cv := range cands {
-		if i%stopCheckEdges == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if keep != nil && !keep(cv) {
-			continue
-		}
-		hit, p := probeCandidate(r, rv, cv, label, fbits)
-		if hp != nil {
-			nc++
-			probes += p
-		}
-		if !hit {
-			continue
-		}
-		next = append(next, cv)
-		if t.maxFrontier > 0 && len(next) > t.maxFrontier {
-			return nil, ErrFrontierTooLarge
-		}
-		if capped && len(next) >= t.limit {
-			break
-		}
-	}
-	if hp != nil {
-		hp.Candidates, hp.HintProbes = nc, probes
-	}
-	return next, nil
-}
-
-// bottomUpPar fans the candidate registry out over the morsel worker
-// pool. Budget discipline mirrors expandParallel: on a capped hop the
-// result slot is claimed before the frontier budget is charged, and
-// workers observe the stop flag within one morsel chunk.
-func (t *Traversal) bottomUpPar(ctx context.Context, r Reader, rv *revLabel, cands []VertexID, label Label, keep func(VertexID) bool, fbits *sparsebit.Set, capped bool, par int, hp *HopPlan) ([]VertexID, error) {
-	cur := morsel.NewCursor(len(cands), bottomUpMorselSize(len(cands), par))
-	outs := make([][]VertexID, cur.Count())
-	var (
-		produced atomic.Int64
-		grown    atomic.Int64
-		ncands   atomic.Int64
-		probes   atomic.Int64
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	limit, maxF := int64(t.limit), int64(t.maxFrontier)
-	countStats := hp != nil
-
-	var wg sync.WaitGroup
-	for w := cur.Workers(par); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				m, lo, hi, ok := cur.Next()
-				if !ok {
-					return
-				}
-				var buf []VertexID
-				var mc, mp int64
-				flush := func() {
-					outs[m] = buf
-					if countStats {
-						ncands.Add(mc)
-						probes.Add(mp)
-					}
-				}
-				for i := lo; i < hi; i++ {
-					if i%stopCheckEdges == 0 {
-						if stop.Load() {
-							flush()
-							return
-						}
-						if err := ctx.Err(); err != nil {
-							flush()
-							fail(err)
-							return
-						}
-					}
-					cv := cands[i]
-					if keep != nil && !keep(cv) {
-						continue
-					}
-					hit, p := probeCandidate(r, rv, cv, label, fbits)
-					if countStats {
-						mc++
-						mp += p
-					}
-					if !hit {
-						continue
-					}
-					if capped {
-						// Claim the result slot before charging the
-						// frontier budget, matching expandParallel: results
-						// the limit discards must not count toward
-						// MaxFrontier.
-						n := produced.Add(1)
-						if n > limit {
-							flush()
-							stop.Store(true)
-							return
-						}
-						if maxF > 0 && grown.Add(1) > maxF {
-							flush()
-							fail(ErrFrontierTooLarge)
-							return
-						}
-						buf = append(buf, cv)
-						if n == limit {
-							flush()
-							stop.Store(true)
-							return
-						}
-						continue
-					}
-					if maxF > 0 && grown.Add(1) > maxF {
-						flush()
-						fail(ErrFrontierTooLarge)
-						return
-					}
-					buf = append(buf, cv)
-				}
-				flush()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	next := make([]VertexID, 0, total)
-	for _, o := range outs {
-		next = append(next, o...)
-	}
-	if hp != nil {
-		hp.Candidates, hp.HintProbes = ncands.Load(), probes.Load()
-	}
-	return next, nil
-}
-
-// morselMark evaluates pred over [0,n) on the worker pool, recording
-// results into marks — the order-preserving parallel Filter substrate.
-func morselMark(ctx context.Context, n, workers, morselSize int, pred func(i int) bool, marks []bool) error {
-	cur := morsel.NewCursor(n, morselSize)
-	var (
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	var wg sync.WaitGroup
-	for w := cur.Workers(workers); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-				_, lo, hi, ok := cur.Next()
-				if !ok {
-					return
-				}
-				for i := lo; i < hi; i++ {
-					marks[i] = pred(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -49,7 +49,7 @@ type HopPlan struct {
 	// frontier bitset.
 	Candidates int64 `json:"candidates,omitempty"`
 	HintProbes int64 `json:"hintProbes,omitempty"`
-	Parallel   bool  `json:"parallel"`          // hop ran on the morsel engine
+	Parallel   bool  `json:"parallel"`          // top-down hop or filter fanned out over several workers
 	Workers    int   `json:"workers,omitempty"` // pool width of a parallel hop
 	MorselSize int   `json:"morselSize,omitempty"`
 	Morsels    int   `json:"morsels,omitempty"`

@@ -133,11 +133,8 @@ func (g *Graph) revFor(label Label) *revLabel {
 // revAdd records the hint "src points at dst along label". Called from the
 // edge write path (work phase, source vertex lock held) and from the live
 // replication apply; recovery goes through rebuildTraversalIndexes
-// instead. No-op when the reverse index is disabled.
+// instead.
 func (g *Graph) revAdd(dst VertexID, label Label, src VertexID) {
-	if g.opts.DisableReverseIndex {
-		return
-	}
 	rv := g.revFor(label)
 	if v, ok := rv.index.Load(dst); ok {
 		v.(*revAdj).add(src)

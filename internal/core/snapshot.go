@@ -221,9 +221,7 @@ func (s *Snapshot) ScanInCandidates(v VertexID, label Label, fn func(src VertexI
 
 // ScanIn invokes fn for every confirmed in-neighbor of (v, label) at this
 // snapshot's epoch: hint candidates filtered through the forward read
-// path, so MVCC visibility is exact. Requires the reverse index (on by
-// default; see Options.DisableReverseIndex — with it disabled the scan
-// yields nothing).
+// path, so MVCC visibility is exact.
 func (s *Snapshot) ScanIn(v VertexID, label Label, fn func(src VertexID) bool) {
 	for _, src := range s.g.inHints(v, label) {
 		if s.HasEdge(src, label, v) && !fn(src) {

@@ -55,7 +55,7 @@ type LabelStats struct {
 	// the sequential scan cost of the label.
 	Entries int64
 	// Targets counts distinct destination vertices carrying a reverse
-	// hint list for this label (0 when the reverse index is disabled).
+	// hint list for this label.
 	Targets int64
 	// AvgDegree is Edges/Lists (0 when the label has no lists).
 	AvgDegree float64

@@ -13,10 +13,10 @@ package core
 // Execution is *adaptive*, steered by the per-label degree statistics the
 // engine maintains at apply time (stats.go):
 //
-//   - hops run on the morsel-driven parallel engine (parallel.go) when the
-//     Reader is safe for concurrent use and the frontier's estimated work
-//     repays worker dispatch, with morsel widths sized so each morsel
-//     scans about Options.TraversalMorselEdges edges;
+//   - hops fan out over the morsel executor's workers (parallel.go) when
+//     the Reader is safe for concurrent use and the frontier's estimated
+//     work repays worker dispatch, with morsel widths sized so each
+//     morsel scans about 512 edges;
 //   - a deduplicating hop switches to bottom-up (direction-optimizing)
 //     expansion when the frontier is dense against the label's candidate
 //     set (bottomup.go) — probing hinted destinations against a frozen
@@ -33,9 +33,7 @@ import (
 	"runtime"
 	"time"
 
-	"livegraph/internal/morsel"
 	"livegraph/internal/obs"
-	"livegraph/internal/sparsebit"
 )
 
 // ErrAsOfMismatch is returned by Traversal.Run when AsOf was set but the
@@ -52,8 +50,8 @@ var ErrFrontierTooLarge = errors.New("livegraph: traversal frontier exceeded Max
 // ErrBottomUpUnsupported is returned when Direction(DirectionBottomUp)
 // forces bottom-up expansion on a traversal that cannot run it: bottom-up
 // emits each destination at most once (it requires Dedup) and probes the
-// graph's reverse hint index (it requires a graph-backed Reader with
-// Options.DisableReverseIndex unset). Adaptive runs never hit this error —
+// graph's reverse hint index (it requires a graph-backed Reader, a *Tx or
+// a *Snapshot). Adaptive runs never hit this error —
 // with the prerequisites missing they silently stay top-down.
 var ErrBottomUpUnsupported = errors.New("livegraph: bottom-up expansion requires Dedup and a graph-backed Reader with the reverse index enabled")
 
@@ -205,16 +203,18 @@ func (t *Traversal) MaxFrontier(n int) *Traversal {
 	return t
 }
 
-// Parallel sets the worker-pool width for frontier expansion. 1 forces
-// sequential execution; 0 (the default) defers to the graph's
-// Options.TraversalParallelism, which itself defaults to GOMAXPROCS.
+// Parallel sets the worker-pool width for frontier expansion; 0 (the
+// default) defers to the graph's Options.TraversalParallelism, which
+// itself defaults to GOMAXPROCS. Every hop runs on the same morsel
+// executor (parallel.go), and 1 is its one-worker case: each hop is a
+// single morsel spanning the whole frontier, run on the calling
+// goroutine.
 //
 // Parallel hops require a Reader that is safe for concurrent use (one
 // implementing ParallelReader, like *Snapshot); on any other Reader — a
-// *Tx in particular — execution stays sequential regardless of this
-// setting. Narrow frontiers (at most one morsel wide) also run
-// sequentially: dispatching workers for a handful of vertices costs more
-// than the scans themselves.
+// *Tx in particular — every hop runs on the calling goroutine regardless
+// of this setting. Narrow frontiers that would not repay worker dispatch
+// also run as one morsel on the calling goroutine.
 //
 // Without Dedup or Limit, a parallel run returns exactly the sequential
 // result in the same order (morsel outputs are reassembled in frontier
@@ -226,11 +226,12 @@ func (t *Traversal) Parallel(n int) *Traversal {
 	return t
 }
 
-// MorselSize overrides the number of frontier vertices per work morsel.
-// Zero (the default) sizes morsels adaptively: morsel.DefaultSize at
-// most, shrunk until the frontier splits into about four morsels per
-// worker — or, when the label's degree statistics are available, until a
-// morsel scans about Options.TraversalMorselEdges edges. Smaller morsels
+// MorselSize overrides the number of frontier vertices per work morsel
+// of a hop that fans out; a frontier no wider than n runs as one morsel
+// on the calling goroutine. Zero (the default) sizes morsels adaptively:
+// morsel.DefaultSize at most, shrunk until the frontier splits into about
+// four morsels per worker — or, when the label's degree statistics are
+// available, until a morsel scans about 512 edges. Smaller morsels
 // balance skewed frontiers at the cost of more claim traffic; mostly a
 // tuning and testing knob.
 func (t *Traversal) MorselSize(n int) *Traversal {
@@ -382,152 +383,6 @@ func (t *Traversal) effectiveParallelism(r Reader) int {
 	return p
 }
 
-// travKnobs are the run-resolved adaptive-policy parameters: the
-// Options.Traversal* knobs with defaults filled in, plus the switches the
-// hop loop consults.
-type travKnobs struct {
-	engageMin   int     // frontier width that repays worker dispatch
-	minMorsel   int     // adaptive morsel-width floor
-	morselEdges int     // per-morsel edge target (0 = degree-driven sizing off)
-	buAlpha     float64 // bottom-up density factor (0 = auto bottom-up off)
-	buBeta      float64 // bottom-up total-edge guard
-}
-
-const (
-	defaultMorselEdges   = 512
-	defaultBottomUpAlpha = 8.0
-	defaultBottomUpBeta  = 3.0
-	// bottomUpMinFrontier keeps trivially narrow frontiers top-down: below
-	// it the frontier bitset build alone outweighs any probe savings.
-	bottomUpMinFrontier = 16
-	// engageMinFloor bounds how far degree statistics may lower the
-	// parallel-engage threshold on hub-heavy labels.
-	engageMinFloor = 4
-)
-
-// resolveKnobs fills the adaptive-policy parameters for a run over g
-// (which may be nil for foreign Readers — defaults then apply). In memory,
-// expanding one vertex costs sub-microsecond scans, so only
-// DefaultSize-wide frontiers repay worker dispatch and morsels stay
-// coarse. Under the out-of-core simulation a single expansion can stall
-// milliseconds on page faults — overlapping those waits is the whole point
-// — so even an 8-vertex frontier fans out, one vertex per morsel.
-func resolveKnobs(g *Graph) travKnobs {
-	k := travKnobs{
-		engageMin:   morsel.DefaultSize,
-		minMorsel:   8,
-		morselEdges: defaultMorselEdges,
-		buAlpha:     defaultBottomUpAlpha,
-		buBeta:      defaultBottomUpBeta,
-	}
-	if g == nil {
-		return k
-	}
-	if g.opts.PageCache != nil {
-		k.engageMin, k.minMorsel = 8, 1
-	}
-	if v := g.opts.TraversalEngageMin; v > 0 {
-		k.engageMin = v
-	}
-	if v := g.opts.TraversalMinMorsel; v > 0 {
-		k.minMorsel = v
-	}
-	if v := g.opts.TraversalMorselEdges; v != 0 {
-		k.morselEdges = v
-		if v < 0 {
-			k.morselEdges = 0 // degree-driven sizing disabled
-		}
-	}
-	if v := g.opts.TraversalBottomUpAlpha; v != 0 {
-		k.buAlpha = v
-		if v < 0 {
-			k.buAlpha = 0 // auto bottom-up disabled
-		}
-	}
-	if v := g.opts.TraversalBottomUpBeta; v > 0 {
-		k.buBeta = v
-	}
-	return k
-}
-
-// hopMorselSize picks the morsel width for one hop: the explicit
-// MorselSize when set, otherwise at most morsel.DefaultSize — lowered so
-// one morsel scans about k.morselEdges edges when the label's live average
-// degree is known — shrunk until the frontier splits into about four
-// morsels per worker, floored at k.minMorsel. Oversplitting costs one
-// atomic claim per extra morsel — noise — while undersplitting idles
-// workers whenever per-vertex cost balloons (a hub's long TEL, an
-// out-of-core page fault), so the adaptive default errs toward fine.
-func (t *Traversal) hopMorselSize(frontierLen, par int, k travKnobs, avgDeg float64) int {
-	if t.morselN > 0 {
-		return t.morselN
-	}
-	maxSize := morsel.DefaultSize
-	if k.morselEdges > 0 && avgDeg > 1 {
-		if target := int(float64(k.morselEdges) / avgDeg); target < maxSize {
-			maxSize = target
-		}
-	}
-	return morsel.SizeFor(frontierLen, par, k.minMorsel, maxSize)
-}
-
-// engageParallel reports whether a hop over frontierLen vertices should
-// dispatch to the worker pool: frontiers below the engage threshold run
-// sequentially — dispatching goroutines for a handful of scans costs more
-// than the scans themselves. The threshold is k.engageMin vertices,
-// lowered (to at least engageMinFloor) for labels whose average degree
-// makes even a narrow frontier expensive to expand.
-func (t *Traversal) engageParallel(frontierLen, par int, k travKnobs, avgDeg float64) bool {
-	if par <= 1 {
-		return false
-	}
-	if t.morselN > 0 {
-		return frontierLen > t.morselN
-	}
-	eff := k.engageMin
-	if k.morselEdges > 0 && avgDeg > 1 {
-		if e := int(float64(8*k.morselEdges) / avgDeg); e < eff {
-			eff = e
-			if eff < engageMinFloor {
-				eff = engageMinFloor
-			}
-		}
-	}
-	return frontierLen >= eff
-}
-
-// chooseBottomUp decides one hop's expansion direction. A forced
-// DirectionBottomUp without the prerequisites is an error; DirectionAuto
-// applies the Beamer-style density test against the label's statistics:
-// go bottom-up when the frontier's estimated outgoing edges exceed
-// alpha × the hinted candidate count (probing candidates beats scanning
-// the frontier) and make up more than 1/beta of the label's total edges
-// (the frontier genuinely covers the label, so candidate probes hit).
-func (t *Traversal) chooseBottomUp(g *Graph, frontierLen int, k travKnobs, ls LabelStats) (bool, error) {
-	canBU := t.dedup && g != nil && !g.opts.DisableReverseIndex
-	switch t.direction {
-	case DirectionTopDown:
-		return false, nil
-	case DirectionBottomUp:
-		if !canBU {
-			return false, ErrBottomUpUnsupported
-		}
-		return true, nil
-	}
-	if !canBU || k.buAlpha <= 0 || frontierLen < bottomUpMinFrontier {
-		return false, nil
-	}
-	if ls.Targets <= 0 || ls.Lists <= 0 {
-		return false, nil
-	}
-	avg := ls.AvgDegree
-	if avg < 1 {
-		avg = 1
-	}
-	mf := float64(frontierLen) * avg
-	return mf > k.buAlpha*float64(ls.Targets) && k.buBeta*mf > float64(ls.Edges), nil
-}
-
 // run executes the traversal. ex, when non-nil, receives per-hop runtime
 // statistics (RunExplain); it must come from t.Explain() so its Hops line
 // up with t.steps. Observability — the lg_traversal_* histograms, a
@@ -573,23 +428,11 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 	if ex != nil {
 		ex.Parallelism = par
 	}
-	var g *Graph
-	if gs, ok := r.(graphSource); ok {
-		g = gs.graph()
-	}
 	stats, _ := r.(degreeStatsSource)
-	knobs := resolveKnobs(g)
-	// One seen set and one scan iterator serve the whole run: the set's
-	// pages and the iterator are reused hop after hop, so a multi-hop
-	// traversal stops allocating once it has touched its working set. The
-	// frontier bitset for bottom-up hops is allocated on first use.
-	var seen *sparsebit.Set
-	if t.dedup {
-		seen = sparsebit.New(4 * par)
-	}
-	var fbits *sparsebit.Set
-	seq := seqExpander{r: r}
-	seq.its, seq.hasInto = r.(edgeIterSource)
+	// One executor serves the whole run: its dedup set's pages, scan
+	// iterators and morsel slots are reused hop after hop, so a multi-hop
+	// traversal stops allocating once it has touched its working set.
+	x := t.newHopExec(ctx, r, par, ex != nil)
 	for pi := range t.plan {
 		es := &t.plan[pi]
 		if err := ctx.Err(); err != nil {
@@ -601,51 +444,25 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			hp.FrontierIn = len(frontier)
 		}
 		var hopStart time.Time
-		timed := o != nil || hp != nil
-		if timed {
+		if o != nil || hp != nil {
 			hopStart = time.Now()
 		}
+		var (
+			next []VertexID
+			st   hopStats
+			err  error
+		)
 		switch es.kind {
 		case stepFilter:
-			var err error
-			if es.filterPar && t.engageParallel(len(frontier), par, knobs, 0) {
-				ms := t.hopMorselSize(len(frontier), par, knobs, 0)
-				if hp != nil {
-					hp.Parallel = true
-					hp.Workers = par
-					hp.MorselSize = ms
-					hp.Morsels = (len(frontier) + ms - 1) / ms
-				}
-				frontier, err = filterFrontierParallel(ctx, r, frontier, es.filter, par, ms)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				kept := frontier[:0]
-				for _, v := range frontier {
-					if es.filter(r, v) {
-						kept = append(kept, v)
-					}
-				}
-				frontier = kept
-			}
-			if hp != nil {
-				hp.FrontierOut = len(frontier)
-				hp.DurationNs = time.Since(hopStart).Nanoseconds()
-			}
+			next, st, err = x.filter(frontier, es)
 		case stepFilterDst:
 			// A standalone destination predicate (no hop to fuse into):
 			// a pure in-place sweep.
-			kept := frontier[:0]
+			next = frontier[:0]
 			for _, v := range frontier {
 				if es.keep(v) {
-					kept = append(kept, v)
+					next = append(next, v)
 				}
-			}
-			frontier = kept
-			if hp != nil {
-				hp.FrontierOut = len(frontier)
-				hp.DurationNs = time.Since(hopStart).Nanoseconds()
 			}
 		case stepOut:
 			// Short-circuit the scans only when this hop produces the
@@ -656,56 +473,23 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 			if stats != nil {
 				ls = stats.DegreeStats(es.label)
 			}
-			bottomUp, err := t.chooseBottomUp(g, len(frontier), knobs, ls)
-			if err != nil {
-				return nil, err
+			bottomUp, cerr := t.chooseBottomUp(x.g, len(frontier), ls)
+			if cerr != nil {
+				return nil, cerr
 			}
 			if t.dedup {
-				seen.Reset() // dedup is per hop
+				x.seen.Reset() // dedup is per hop
 			}
 			_, hsp := obs.StartSpan(ctx, "traverse.hop")
-			var (
-				next []VertexID
-				hits int64
-			)
+			dir := "topdown"
 			if bottomUp {
-				if hp != nil {
-					hp.Direction = "bottomup"
-				}
-				if fbits == nil {
-					// Probed lock-free (Peek) by workers against a frozen
-					// set; one stripe suffices since the build is
-					// single-threaded.
-					fbits = sparsebit.New(1)
-				}
-				if hsp != nil {
-					hsp.SetAttr(obs.String("direction", "bottomup"))
-				}
-				next, err = t.expandBottomUp(ctx, r, g, frontier, es, fbits, capped, par, hp)
-			} else if t.engageParallel(len(frontier), par, knobs, ls.AvgDegree) {
-				ms := t.hopMorselSize(len(frontier), par, knobs, ls.AvgDegree)
-				if hp != nil {
-					hp.Direction = "topdown"
-					hp.Parallel = true
-					hp.Workers = par
-					hp.MorselSize = ms
-					hp.Morsels = (len(frontier) + ms - 1) / ms
-				}
-				if hsp != nil {
-					hsp.SetAttr(obs.String("engine", "morsel"),
-						obs.Int("workers", int64(par)), obs.Int("morselSize", int64(ms)))
-				}
-				next, hits, err = t.expandParallel(ctx, r, frontier, es.label, es.keep, capped, par, seen, ms, hp != nil)
+				dir = "bottomup"
+				next, st, err = x.bottomUp(frontier, es, capped)
 			} else {
-				if hp != nil {
-					hp.Direction = "topdown"
-				}
-				next, hits, err = seq.expand(ctx, t, frontier, es.label, es.keep, capped, seen, hp != nil)
+				next, st, err = x.topDown(frontier, es, capped, ls.AvgDegree)
 			}
 			if hp != nil {
-				hp.DedupHits = hits
-				hp.FrontierOut = len(next)
-				hp.DurationNs = time.Since(hopStart).Nanoseconds()
+				hp.Direction = dir
 				switch {
 				case errors.Is(err, ErrFrontierTooLarge):
 					hp.BudgetCut = "maxFrontier"
@@ -717,99 +501,36 @@ func (t *Traversal) runSteps(ctx context.Context, r Reader, ex *Explain, o *grap
 				o.travHop.Record(time.Since(hopStart))
 			}
 			if hsp != nil {
+				if bottomUp {
+					hsp.SetAttr(obs.String("direction", dir))
+				} else if st.workers > 1 {
+					hsp.SetAttr(obs.String("engine", "morsel"),
+						obs.Int("workers", int64(st.workers)), obs.Int("morselSize", int64(st.morselSize)))
+				}
 				hsp.SetAttr(obs.Int("frontierIn", int64(len(frontier))),
-					obs.Int("frontierOut", int64(len(next))), obs.Int("dedupHits", hits))
+					obs.Int("frontierOut", int64(len(next))), obs.Int("dedupHits", st.dedupHits))
 				if err != nil {
 					hsp.SetAttr(obs.String("error", err.Error()))
 				}
 			}
 			hsp.End()
-			if err != nil {
-				return nil, err
-			}
-			frontier = next
 		}
+		if hp != nil {
+			hp.FrontierOut = len(next)
+			hp.DurationNs = time.Since(hopStart).Nanoseconds()
+			if st.workers > 1 {
+				hp.Parallel = true
+				hp.Workers, hp.MorselSize, hp.Morsels = st.workers, st.morselSize, st.morsels
+			}
+			hp.DedupHits, hp.Candidates, hp.HintProbes = st.dedupHits, st.candidates, st.probes
+		}
+		if err != nil {
+			return nil, err
+		}
+		frontier = next
 	}
 	if t.limit > 0 && len(frontier) > t.limit {
 		frontier = frontier[:t.limit]
 	}
 	return frontier, nil
-}
-
-// seqExpander runs one hop's scans sequentially, reusing a single
-// iterator across hops (the pre-parallel engine's inner loop, split out
-// so run can time and annotate hops uniformly).
-type seqExpander struct {
-	r       Reader
-	its     edgeIterSource
-	hasInto bool
-	it      EdgeIter
-}
-
-// expand performs one sequential stepOut. keep, when non-nil, is the fused
-// destination predicate, pushed into the TEL scan loop. countHits enables
-// dedup-hit counting (EXPLAIN); hits is 0 otherwise.
-func (s *seqExpander) expand(ctx context.Context, t *Traversal, frontier []VertexID, label Label, keep func(VertexID) bool, capped bool, seen *sparsebit.Set, countHits bool) (next []VertexID, hits int64, err error) {
-	var keep64 func(int64) bool
-	if keep != nil {
-		keep64 = func(d int64) bool { return keep(VertexID(d)) }
-	}
-	next = make([]VertexID, 0, len(frontier))
-	for _, v := range frontier {
-		if err := ctx.Err(); err != nil {
-			return nil, hits, err
-		}
-		itp := &s.it
-		if s.hasInto {
-			s.its.neighborsInto(itp, v, label)
-		} else {
-			itp = s.r.Neighbors(v, label)
-		}
-		for itp.advance(keep64) {
-			d := itp.Dst()
-			if t.dedup && seen.TestAndSet(int64(d)) {
-				if countHits {
-					hits++
-				}
-				continue
-			}
-			next = append(next, d)
-			if t.maxFrontier > 0 && len(next) > t.maxFrontier {
-				return nil, hits, ErrFrontierTooLarge
-			}
-			if capped && len(next) >= t.limit {
-				return next, hits, nil
-			}
-		}
-	}
-	return next, hits, nil
-}
-
-// advance steps the iterator, with the destination predicate pushed into
-// the scan when one is fused (nil keep is the plain path).
-func (e *EdgeIter) advance(keep func(int64) bool) bool {
-	if keep == nil {
-		return e.Next()
-	}
-	return e.nextWhere(keep)
-}
-
-// filterFrontierParallel evaluates a concurrency-safe Filter predicate on
-// the morsel worker pool, preserving frontier order (each worker marks its
-// range; the survivors are compacted in place afterwards) — bit-identical
-// to the sequential sweep for pure predicates.
-func filterFrontierParallel(ctx context.Context, r Reader, frontier []VertexID, pred func(Reader, VertexID) bool, workers, morselSize int) ([]VertexID, error) {
-	marks := make([]bool, len(frontier))
-	if err := morselMark(ctx, len(frontier), workers, morselSize, func(i int) bool {
-		return pred(r, frontier[i])
-	}, marks); err != nil {
-		return nil, err
-	}
-	kept := frontier[:0]
-	for i, ok := range marks {
-		if ok {
-			kept = append(kept, frontier[i])
-		}
-	}
-	return kept, nil
 }

@@ -59,9 +59,9 @@ func sameSet(t *testing.T, name string, got, want []VertexID) {
 
 // TestDirectionEquivalence is the invariant every expansion strategy must
 // uphold: forced top-down, forced bottom-up and the adaptive executor
-// return the same result for the same traversal — identical sets under
-// Dedup (parallel and bottom-up passes reorder within a hop; only forced
-// top-down sequential promises byte order against the reference).
+// return what the naive oracle returns for the same traversal — identical
+// sets under Dedup (parallel and bottom-up passes reorder within a hop;
+// only forced top-down sequential promises byte order).
 // Exercised across Dedup, Filter, FilterDst, Limit and AsOf, sequential
 // and parallel.
 func TestDirectionEquivalence(t *testing.T) {
@@ -123,6 +123,11 @@ func TestDirectionEquivalence(t *testing.T) {
 			if name != "limit" && name != "filter" && len(ref) == 0 {
 				t.Fatal("fixture produced an empty reference")
 			}
+			oracle := naiveTraverse(snap, mk())
+			oracleAll := naiveTraverse(snap, mk().Limit(0))
+			if !sameIDs(ref, oracle) {
+				t.Fatalf("sequential top-down %v != oracle %v", ref, oracle)
+			}
 			for _, par := range []int{1, 4} {
 				for dname, dir := range map[string]Direction{
 					"topdown": DirectionTopDown, "bottomup": DirectionBottomUp, "auto": DirectionAuto,
@@ -136,29 +141,33 @@ func TestDirectionEquivalence(t *testing.T) {
 					if name == "limit" {
 						// Limit-ed runs agree on count; membership must be a
 						// subset of the unlimited reference set.
-						if len(got) != len(ref) {
-							t.Errorf("%s: %d results, reference has %d", label, len(got), len(ref))
+						if len(got) != len(ref) || len(got) != len(oracle) {
+							t.Errorf("%s: %d results, reference has %d, oracle %d", label, len(got), len(ref), len(oracle))
 						}
 						full, err := mk().Direction(DirectionTopDown).Parallel(1).Limit(0).Run(ctx, snap)
 						if err != nil {
 							t.Fatal(err)
 						}
-						in := map[VertexID]bool{}
+						in, inOracle := map[VertexID]bool{}, map[VertexID]bool{}
 						for _, v := range full {
 							in[v] = true
 						}
+						for _, v := range oracleAll {
+							inOracle[v] = true
+						}
 						for _, v := range got {
-							if !in[v] {
-								t.Errorf("%s: %d not in unlimited reference %v", label, v, full)
+							if !in[v] || !inOracle[v] {
+								t.Errorf("%s: %d not in unlimited reference %v or oracle %v", label, v, full, oracleAll)
 							}
 						}
 						continue
 					}
 					sameSet(t, label, got, ref)
+					sameSet(t, label+" vs oracle", got, oracle)
 					// Only forced top-down sequential promises byte order;
 					// bottom-up (forced or auto-chosen) emits in ascending
 					// candidate order — same set, different schedule.
-					if par == 1 && dir == DirectionTopDown && !sameIDs(got, ref) {
+					if par == 1 && dir == DirectionTopDown && (!sameIDs(got, ref) || !sameIDs(got, oracle)) {
 						t.Errorf("%s: sequential order drifted: %v != %v", label, got, ref)
 					}
 				}
@@ -181,24 +190,6 @@ func TestBottomUpUnsupported(t *testing.T) {
 	}
 	if _, err := Traverse(0).Out(0).Direction(DirectionAuto).Run(ctx, snap); err != nil {
 		t.Fatalf("auto without Dedup must fall back to topdown: %v", err)
-	}
-
-	// The reverse index can be disabled wholesale; forced bottom-up then
-	// fails even with Dedup.
-	g2, err := Open(Options{DisableReverseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	mustCommit(t, g2, func(tx *Tx) {
-		tx.AddVertex(nil)
-		tx.AddVertex(nil)
-		tx.InsertEdge(0, 0, 1, nil)
-	})
-	snap2, _ := g2.Snapshot()
-	defer snap2.Release()
-	if _, err := Traverse(0).Out(0).Dedup().Direction(DirectionBottomUp).Run(ctx, snap2); !errors.Is(err, ErrBottomUpUnsupported) {
-		t.Fatalf("forced bottomup with DisableReverseIndex err = %v, want ErrBottomUpUnsupported", err)
 	}
 }
 
@@ -291,8 +282,8 @@ func TestPushdownEquivalenceAndExplain(t *testing.T) {
 }
 
 // TestFilterParallelEquivalence: the parallel Filter stage returns exactly
-// what the sequential Filter returns, order included (morselMark is
-// order-preserving).
+// what the sequential Filter and the oracle return, order included
+// (filter morsels compact in place and reassemble in morsel order).
 func TestFilterParallelEquivalence(t *testing.T) {
 	g := buildFanIn(t, Options{}, 48, 12)
 	ctx := context.Background()
@@ -310,6 +301,11 @@ func TestFilterParallelEquivalence(t *testing.T) {
 	}
 	if !sameIDs(parRes, seqRes) {
 		t.Fatalf("parallel filter drifted: %d vs %d results", len(parRes), len(seqRes))
+	}
+	oracle := naiveTraverse(snap, Traverse(0).Out(0).Out(0).Filter(pred))
+	if len(oracle) == 0 || !sameIDs(seqRes, oracle) || !sameIDs(parRes, oracle) {
+		t.Fatalf("filter results drifted from the oracle: seq %d, par %d, oracle %d results",
+			len(seqRes), len(parRes), len(oracle))
 	}
 }
 
@@ -442,59 +438,20 @@ func TestDegreeStatsRecovery(t *testing.T) {
 	}
 }
 
-// TestTraversalKnobOptions: the Options knobs reach the executor — a
-// negative TraversalBottomUpAlpha disables auto bottom-up even on a shape
-// the heuristic would flip, and explicit knob values are honored.
-func TestTraversalKnobOptions(t *testing.T) {
-	ctx := context.Background()
-	mk := func(o Options) *Graph {
-		g, err := Open(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { g.Close() })
-		mustCommit(t, g, func(tx *Tx) {
-			for i := 0; i < 40; i++ {
-				tx.AddVertex(nil)
-			}
-			for s := 1; s <= 30; s++ {
-				tx.InsertEdge(0, 0, VertexID(s), nil)
-				for d := 31; d < 36; d++ {
-					tx.InsertEdge(VertexID(s), 0, VertexID(d), nil)
-				}
-			}
-		})
-		return g
-	}
-
-	// Aggressive alpha: the dense second hop flips to bottom-up.
-	g := mk(Options{TraversalBottomUpAlpha: 0.5})
+// TestTraversalAutoDirectionDefaults: with the default constants, auto
+// keeps the one-vertex seed hop top-down and flips the dense fan-in hop
+// to bottom-up.
+func TestTraversalAutoDirectionDefaults(t *testing.T) {
+	g := buildFanIn(t, Options{}, 48, 12)
 	snap, _ := g.Snapshot()
-	_, ex, err := Traverse(0).Out(0).Out(0).Dedup().RunExplain(ctx, snap)
-	snap.Release()
+	defer snap.Release()
+	_, ex, err := Traverse(0).Out(0).Out(0).Dedup().RunExplain(context.Background(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Hops[1].Direction != "bottomup" {
-		t.Fatalf("alpha=0.5 hop directions = [%q %q], want second bottomup",
+	if ex.Hops[0].Direction != "topdown" || ex.Hops[1].Direction != "bottomup" {
+		t.Fatalf("auto hop directions = [%q %q], want [topdown bottomup]",
 			ex.Hops[0].Direction, ex.Hops[1].Direction)
-	}
-	if ex.Hops[0].Direction != "topdown" {
-		t.Fatalf("seed hop (frontier=1) must stay topdown, got %q", ex.Hops[0].Direction)
-	}
-
-	// Negative alpha: auto never flips, even on the same shape.
-	g2 := mk(Options{TraversalBottomUpAlpha: -1})
-	snap2, _ := g2.Snapshot()
-	_, ex2, err := Traverse(0).Out(0).Out(0).Dedup().RunExplain(ctx, snap2)
-	snap2.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, hp := range ex2.Hops {
-		if hp.Direction == "bottomup" {
-			t.Fatalf("alpha<0 hop %d went bottomup", i)
-		}
 	}
 }
 

@@ -78,10 +78,10 @@ func runBoth(t *testing.T, r Reader, spec travSpec, par int) (seq, parr []Vertex
 }
 
 // TestParallelTraversalEquivalence is the engine's acceptance test: on a
-// randomized graph, a parallel run must return the same result as the
-// sequential compilation — identical multiset (and order) without Dedup,
-// identical set with Dedup, with and without Filter — at parallelism 1, 4
-// and 8. Run under -race this also exercises the striped dedup set and
+// randomized graph, sequential and parallel runs must return the naive
+// oracle's result — the sequential run in the oracle's order, a parallel
+// run as an identical multiset (and order) without Dedup, identical set
+// with Dedup, with and without Filter — at parallelism 1, 4 and 8. Run under -race this also exercises the striped dedup set and
 // morsel cursor for data races.
 func TestParallelTraversalEquivalence(t *testing.T) {
 	g := openMem(t)
@@ -106,10 +106,20 @@ func TestParallelTraversalEquivalence(t *testing.T) {
 	}
 	for name, spec := range specs {
 		dedup := spec().dedup
+		oracle := naiveTraverse(snap, spec())
 		for _, par := range []int{4, 8} {
 			seq, parr := runBoth(t, snap, spec, par)
 			if len(seq) == 0 {
 				t.Fatalf("%s: fixture produced no results", name)
+			}
+			// Without Dedup the sequential run is the oracle, order
+			// included; with Dedup, auto direction may go bottom-up,
+			// which emits the same set in candidate order.
+			if !sameMultiset(seq, oracle) || (!dedup && !sameIDs(seq, oracle)) {
+				t.Errorf("%s: sequential result diverges from the oracle (%d vs %d results)", name, len(seq), len(oracle))
+			}
+			if !sameMultiset(parr, oracle) {
+				t.Errorf("%s par=%d: parallel result is not the oracle's multiset (%d vs %d results)", name, par, len(parr), len(oracle))
 			}
 			if dedup {
 				if len(parr) != len(seq) {

@@ -28,18 +28,50 @@ func buildSocial(t testing.TB) *Graph {
 	return g
 }
 
-// handRolledTwoHop is the pre-v2 idiom: explicit nested iterator loops.
-// The builder must return exactly this, in the same order.
-func handRolledTwoHop(r Reader, src VertexID, label Label) []VertexID {
-	var out []VertexID
-	it := r.Neighbors(src, label)
-	for it.Next() {
-		it2 := r.Neighbors(it.Dst(), label)
-		for it2.Next() {
-			out = append(out, it2.Dst())
+// naiveTraverse is the reference every executor variant is checked
+// against, sharing no code with the executor: the traversal's steps in
+// written order as explicit nested Reader.Neighbors loops, a map for
+// Dedup (per hop), and Limit as a prefix of the final frontier.
+// MaxFrontier is not modelled.
+func naiveTraverse(r Reader, t *Traversal) []VertexID {
+	frontier := append([]VertexID(nil), t.src...)
+	for _, st := range t.steps {
+		var next []VertexID
+		switch st.kind {
+		case stepOut:
+			seen := map[VertexID]bool{}
+			for _, v := range frontier {
+				it := r.Neighbors(v, st.label)
+				for it.Next() {
+					d := it.Dst()
+					if t.dedup {
+						if seen[d] {
+							continue
+						}
+						seen[d] = true
+					}
+					next = append(next, d)
+				}
+			}
+		case stepFilter:
+			for _, v := range frontier {
+				if st.filter(r, v) {
+					next = append(next, v)
+				}
+			}
+		case stepFilterDst:
+			for _, v := range frontier {
+				if st.keep(v) {
+					next = append(next, v)
+				}
+			}
 		}
+		frontier = next
 	}
-	return out
+	if t.limit > 0 && len(frontier) > t.limit {
+		frontier = frontier[:t.limit]
+	}
+	return frontier
 }
 
 func sameIDs(a, b []VertexID) bool {
@@ -67,7 +99,7 @@ func TestTraversalTwoHopMatchesHandRolled(t *testing.T) {
 	defer snap.Release()
 
 	for name, r := range map[string]Reader{"tx": tx, "snapshot": snap} {
-		want := handRolledTwoHop(r, 0, 0)
+		want := naiveTraverse(r, Traverse(0).Out(0).Out(0))
 		got, err := Traverse(0).Out(0).Out(0).Run(ctx, r)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -214,6 +246,47 @@ func TestTraversalCancellation(t *testing.T) {
 	cancel()
 	if _, err := Traverse(0).Out(0).Run(ctx, tx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled traversal err = %v", err)
+	}
+}
+
+// TestTraversalCancelInsideAdjacencyList: a hop over one huge adjacency
+// list must notice cancellation mid-list, on the one-worker path of a
+// Snapshot and on a Tx alike — here ctx is cancelled by the first call of
+// the fused FilterDst predicate, before the scan has produced anything.
+func TestTraversalCancelInsideAdjacencyList(t *testing.T) {
+	const hubEdges = 20_000
+	g := openMem(t)
+	mustCommit(t, g, func(tx *Tx) {
+		for i := 0; i <= hubEdges; i++ {
+			tx.AddVertex(nil)
+		}
+	})
+	for lo := 1; lo <= hubEdges; lo += 4096 {
+		mustCommit(t, g, func(tx *Tx) {
+			for d := lo; d < min(lo+4096, hubEdges+1); d++ {
+				tx.InsertEdge(0, 0, VertexID(d), nil)
+			}
+		})
+	}
+	snap, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	tx, err := g.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Commit()
+
+	for name, r := range map[string]Reader{"snapshot": snap, "tx": tx} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := Traverse(0).Out(0).
+			FilterDst(func(VertexID) bool { cancel(); return true }).
+			Parallel(1).Run(ctx, r)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled mid-list traversal returned %d results, err = %v", name, len(res), err)
+		}
 	}
 }
 

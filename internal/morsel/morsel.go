@@ -9,11 +9,17 @@
 // can stall on page faults. With static partitioning the unlucky worker
 // finishes last while the rest idle; with a cursor, finished workers
 // immediately claim the next morsel, so the schedule load-balances itself.
-// Both the traversal engine (internal/core) and the analytics kernels
-// (internal/analytics) dispatch through this package.
+// Run is the one worker pool: the traversal engine and maintenance
+// (internal/core) and the analytics kernels (internal/analytics) all
+// dispatch through it, and their sequential paths are its one-worker case.
 package morsel
 
-import "sync/atomic"
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+)
 
 // DefaultSize is the default morsel width in items. Small enough that a
 // skewed frontier still splits into enough morsels to balance, large
@@ -88,4 +94,88 @@ func (c *Cursor) Workers(requested int) int {
 		return m
 	}
 	return requested
+}
+
+// Stop, returned by a Run body, ends the run early without an error: no
+// worker claims another morsel, and Run returns nil unless some other
+// body failed.
+var Stop = errors.New("morsel: stop")
+
+// Run executes body over [0,n) in morsels of size items (DefaultSize when
+// size <= 0), on up to workers workers claiming morsels from one cursor.
+// body gets its worker index w in [0, workers) for per-worker state, the
+// morsel index m, and the item range [lo, hi).
+//
+// Worker 0 is the calling goroutine, so with workers <= 1 (or a single
+// morsel) Run is plain sequential code: no goroutine is started and
+// morsels run in index order.
+//
+// The first error a body returns stops every worker from claiming another
+// morsel and is Run's result. ctx is polled before every claim, and a
+// cancelled ctx ends the run with ctx.Err(); a body that can run long
+// polls ctx itself.
+func Run(ctx context.Context, n, size, workers int, body func(w, m, lo, hi int) error) error {
+	if size <= 0 {
+		size = DefaultSize
+	}
+	if workers > 1 && n > size {
+		return runPool(ctx, NewCursor(n, size), workers, body)
+	}
+	for m, lo := 0, 0; lo < n; m, lo = m+1, lo+size {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := body(0, m, lo, min(lo+size, n)); err != nil {
+			if errors.Is(err, Stop) {
+				return nil
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// runPool is Run's multi-worker case: workers-1 goroutines plus the
+// caller, joined before it returns.
+func runPool(ctx context.Context, cur *Cursor, workers int, body func(w, m, lo, hi int) error) error {
+	var (
+		stop  atomic.Bool
+		mu    sync.Mutex
+		first error
+		wg    sync.WaitGroup
+	)
+	work := func(w int) {
+		for !stop.Load() {
+			err := ctx.Err()
+			if err == nil {
+				m, lo, hi, ok := cur.Next()
+				if !ok {
+					return
+				}
+				err = body(w, m, lo, hi)
+			}
+			if err != nil {
+				if !errors.Is(err, Stop) {
+					mu.Lock()
+					if first == nil {
+						first = err
+					}
+					mu.Unlock()
+				}
+				stop.Store(true)
+				return
+			}
+		}
+	}
+	workers = cur.Workers(workers)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return first
 }
